@@ -52,6 +52,10 @@ func TestResilientJobSurvivesLinkCutAndHeal(t *testing.T) {
 		BackoffBase: time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 		Dialer:      inj.Dial,
+		// Withhold acks for the whole stream, so each cut lands with
+		// frames still journaled and the heal must redeliver them.
+		AckEvery:   2 * n,
+		AckTimeout: 100 * time.Millisecond,
 	})
 	if err := j.LaunchOn([]*Engine{e1, e2}, place, bridger); err != nil {
 		t.Fatal(err)

@@ -560,6 +560,11 @@ func (r *Resilient) writeData(channel uint32, payload []byte, seq uint64) {
 	var hdr [headerV2Size]byte
 	for {
 		if !r.ready() {
+			if r.isClosed() {
+				// Close raced the journal append: the frame still goes
+				// out on the live conn, under its journaled seq.
+				r.writeSeq(channel, payload, seq)
+			}
 			return
 		}
 		putHeaderV2(hdr[:], channel, payload, 0, seq, r.recvSeq.Load())
@@ -587,20 +592,31 @@ func (r *Resilient) writeData(channel uint32, payload []byte, seq uint64) {
 // write on the live conn if any, never journal, never reconnect.
 func (r *Resilient) writeClosing(f Frame) {
 	r.mu.Lock()
+	dead := r.conn == nil || r.broken
+	r.mu.Unlock()
+	if dead {
+		return
+	}
+	r.nextSeq++
+	r.writeSeq(f.Channel, f.Payload, r.nextSeq)
+}
+
+// writeSeq writes one frame under seq on the live conn, if there is one.
+func (r *Resilient) writeSeq(channel uint32, payload []byte, seq uint64) {
+	r.mu.Lock()
 	conn := r.conn
 	dead := conn == nil || r.broken
 	r.mu.Unlock()
 	if dead {
 		return
 	}
-	r.nextSeq++
 	var hdr [headerV2Size]byte
-	putHeaderV2(hdr[:], f.Channel, f.Payload, 0, r.nextSeq, r.recvSeq.Load())
+	putHeaderV2(hdr[:], channel, payload, 0, seq, r.recvSeq.Load())
 	if _, err := r.bw.Write(hdr[:]); err != nil {
 		r.connFailed(conn, err)
 		return
 	}
-	if _, err := r.bw.Write(f.Payload); err != nil {
+	if _, err := r.bw.Write(payload); err != nil {
 		r.connFailed(conn, err)
 		return
 	}
@@ -626,7 +642,16 @@ func (r *Resilient) flushBest() {
 // surfacing a failed flush as a connection failure so the journaled
 // frames get replayed. Writer goroutine only.
 func (r *Resilient) flushIfIdle() {
-	if r.queue.Len() != 0 || r.bw == nil {
+	if r.queue.Len() != 0 {
+		return
+	}
+	r.flushLive()
+}
+
+// flushLive flushes buffered frames on a live connection, surfacing a
+// failed flush as a connection failure. Writer goroutine only.
+func (r *Resilient) flushLive() {
+	if r.bw == nil {
 		return
 	}
 	r.mu.Lock()
@@ -799,6 +824,7 @@ func (r *Resilient) journalLen() int {
 // false when the transport closed while waiting for space.
 func (r *Resilient) journalAppend(jf jframe) bool {
 	need := int64(len(jf.payload)) + headerV2Size
+	flushed := false
 	r.jmu.Lock()
 	for !r.jclosed && r.jbytes+need > r.opts.ReplayLimit && len(r.jfr)-r.jhead > 0 {
 		if r.opts.Policy == DegradeShedOldest {
@@ -824,6 +850,16 @@ func (r *Resilient) journalAppend(jf jframe) bool {
 			if !ok {
 				break
 			}
+			continue
+		}
+		// The acks we would wait for may be for frames still sitting in
+		// our own write buffer: flush once (outside jmu, which journalAck
+		// needs) before parking.
+		if !flushed {
+			flushed = true
+			r.jmu.Unlock()
+			r.flushLive()
+			r.jmu.Lock()
 			continue
 		}
 		r.jcond.Wait()

@@ -32,6 +32,7 @@ type linkRecv struct {
 	mu       sync.Mutex
 	lastSeen uint64
 	epoch    uint64
+	cur      *servedConn // the conn whose hello bound this link last
 }
 
 // servedConn pairs an accepted connection with a write mutex: acks are
@@ -39,6 +40,7 @@ type linkRecv struct {
 // callers, and the two must not interleave mid-frame.
 type servedConn struct {
 	conn net.Conn
+	done chan struct{} // closed when serve stops delivering from conn
 	//neptune:lock rlisten-write
 	wmu sync.Mutex
 }
@@ -167,7 +169,7 @@ func (l *ResilientListener) acceptLoop() {
 			conn.Close()
 			return
 		}
-		sc := &servedConn{conn: conn}
+		sc := &servedConn{conn: conn, done: make(chan struct{})}
 		l.conns[conn] = sc
 		l.wg.Add(1)
 		l.mu.Unlock()
@@ -191,7 +193,7 @@ func (l *ResilientListener) link(id uint64) *linkRecv {
 // payload is an EpochHello control message from a current sender, or a
 // raw 8-byte (link id) / 16-byte (id + epoch) payload from an older
 // one. A higher epoch rewinds the dedup cursor (see linkRecv).
-func (l *ResilientListener) helloLink(payload []byte) *linkRecv {
+func (l *ResilientListener) helloLink(sc *servedConn, payload []byte) *linkRecv {
 	var id, epoch uint64
 	if m, err := control.Decode(payload); err == nil && m.Kind == control.KindEpochHello {
 		id, epoch = m.LinkID, m.Epoch
@@ -212,7 +214,17 @@ func (l *ResilientListener) helloLink(payload []byte) *linkRecv {
 		link.epoch = epoch
 		link.lastSeen = 0
 	}
+	prev := link.cur
+	link.cur = sc
 	link.mu.Unlock()
+	// Fence: the superseded conn's serve may still be delivering frames
+	// from its read buffer; wait for it to stop before this conn delivers
+	// the journal replay, so the handler never sees seq M+1 before M.
+	// The old conn's undelivered frames are unacked and get replayed here.
+	if prev != nil && prev != sc {
+		prev.conn.Close()
+		<-prev.done
+	}
 	return link
 }
 
@@ -223,6 +235,7 @@ func (l *ResilientListener) serve(sc *servedConn) {
 	defer l.wg.Done()
 	conn := sc.conn
 	defer func() {
+		close(sc.done)
 		conn.Close()
 		l.mu.Lock()
 		delete(l.conns, conn)
@@ -255,7 +268,7 @@ func (l *ResilientListener) serve(sc *servedConn) {
 		}
 		if f.version == frameVersion2 {
 			if f.flags&flagHello != 0 {
-				if lr := l.helloLink(f.payload); lr != nil {
+				if lr := l.helloLink(sc, f.payload); lr != nil {
 					link = lr
 				}
 				l.noteControlIn(f.payload)
