@@ -221,9 +221,10 @@ type instance struct {
 	flowGatedNs atomic.Int64
 	flowSeq     atomic.Uint64
 
-	// Decode-side state. packet.Decoder is stateless; the Selective
-	// codec's Decode path is read-only, so sharing across transport IO
-	// goroutines is safe.
+	// Decode-side state, shared by every transport IO goroutine that
+	// dispatches to this instance. packet.Decoder's only state is its
+	// interned-name table, a copy-on-write snapshot safe under concurrent
+	// Decode calls; the Selective codec's Decode path is read-only.
 	dec packet.Decoder
 	sel *compression.Selective
 

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -213,16 +215,22 @@ func TestResolvePartitioner(t *testing.T) {
 	}
 }
 
+// customPasses numbers the passes of TestRegisterPartitionerCustom. The
+// registry is process-global, so each pass (go test -count=N) registers
+// its own name.
+var customPasses atomic.Int64
+
 func TestRegisterPartitionerCustom(t *testing.T) {
+	name := fmt.Sprintf("always-zero-%d", customPasses.Add(1))
 	called := false
-	err := RegisterPartitioner("always-zero", func(arg string) (Partitioner, error) {
+	err := RegisterPartitioner(name, func(arg string) (Partitioner, error) {
 		called = true
 		return &constPartitioner{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ResolvePartitioner("always-zero")
+	p, err := ResolvePartitioner(name)
 	if err != nil || !called {
 		t.Fatalf("custom scheme: %v (called=%v)", err, called)
 	}
@@ -230,7 +238,7 @@ func TestRegisterPartitionerCustom(t *testing.T) {
 		t.Fatalf("Route = %v", got)
 	}
 	// Duplicate and invalid names rejected.
-	if err := RegisterPartitioner("always-zero", nil); err == nil {
+	if err := RegisterPartitioner(name, nil); err == nil {
 		t.Error("duplicate registration accepted")
 	}
 	if err := RegisterPartitioner("with:colon", nil); err == nil {

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Codec errors.
@@ -76,9 +79,58 @@ func (e *Encoder) appendUvarint(dst []byte, v uint64) []byte {
 
 // Decoder deserializes packets from a byte slice. Like Encoder it is
 // created once per link and reused; Decode fills a caller-supplied packet
-// (typically from a pool) so steady-state decoding allocates only when a
-// string field forces a copy.
-type Decoder struct{}
+// (typically from a pool).
+//
+// Every packet carries its field names on the wire, and a stream repeats
+// the same few names in every packet, so the Decoder interns them: it
+// keeps a bounded table of the names it has seen, and a known name costs
+// a compare instead of an allocation. Steady-state decoding then
+// allocates only for string field values. Interned names are strings the
+// table owns; they never alias the decoded frame, which the caller may
+// recycle as soon as Decode returns.
+//
+// The zero value is ready for use. One Decoder may be shared by
+// concurrent Decode calls: the table is an immutable snapshot read with
+// one atomic load, and a packet that brings new names publishes a grown
+// copy. A Decoder must not be copied after first use.
+type Decoder struct {
+	names atomic.Pointer[nameTable]
+	// mu serializes learn's clone-and-publish; Decode never takes it
+	// while the table is full or every name hits.
+	mu sync.Mutex
+}
+
+// maxNames caps the names one Decoder interns. A DEBS reading carries 68
+// distinct names and a relay packet 3. Once the table holds maxNames
+// names it stops growing, and names outside it are allocated per packet
+// as if there were no table.
+const maxNames = 256
+
+// nameTable is one immutable snapshot of a Decoder's interned names.
+type nameTable struct {
+	// last holds the names of the packet that last grew the table, in
+	// wire order (at most maxNames of them), so a packet of that schema
+	// resolves each name with one compare.
+	last []string
+	// byName holds every interned name, keyed by itself.
+	byName map[string]string
+}
+
+// intern returns the table's copy of name b found at field position i.
+// Neither compare nor lookup allocates.
+func (t *nameTable) intern(i int, b []byte) (string, bool) {
+	if t == nil {
+		return "", false
+	}
+	if i < len(t.last) && t.last[i] == string(b) {
+		return t.last[i], true
+	}
+	s, ok := t.byName[string(b)]
+	return s, ok
+}
+
+// full reports whether the table has stopped growing.
+func (t *nameTable) full() bool { return t != nil && len(t.byName) >= maxNames }
 
 // Decode parses one packet from buf into p (Reset first) and returns the
 // number of bytes consumed.
@@ -117,6 +169,8 @@ func (d *Decoder) Decode(buf []byte, p *Packet) (int, error) {
 		// remaining bytes means a corrupt count.
 		return 0, fmt.Errorf("%w: field count %d exceeds buffer", ErrTruncated, nFields)
 	}
+	t := d.names.Load()
+	miss := false
 	for i := uint64(0); i < nFields; i++ {
 		nameLen, n, err := readUvarint(buf[pos:])
 		if err != nil {
@@ -126,7 +180,11 @@ func (d *Decoder) Decode(buf []byte, p *Packet) (int, error) {
 		if uint64(len(buf)-pos) < nameLen+1 {
 			return 0, ErrTruncated
 		}
-		name := string(buf[pos : pos+int(nameLen)])
+		name, ok := t.intern(int(i), buf[pos:pos+int(nameLen)])
+		if !ok {
+			name = string(buf[pos : pos+int(nameLen)])
+			miss = true
+		}
 		pos += int(nameLen)
 		ft := FieldType(buf[pos])
 		pos++
@@ -187,7 +245,43 @@ func (d *Decoder) Decode(buf []byte, p *Packet) (int, error) {
 			return 0, fmt.Errorf("%w: %d", ErrBadFieldType, ft)
 		}
 	}
+	if miss && !t.full() {
+		d.learn(p)
+	}
 	return pos, nil
+}
+
+// learn interns the names of p, just decoded, that the table lacks. It
+// publishes a grown clone of the table, so concurrent Decode calls keep
+// reading their own snapshot without a lock.
+func (d *Decoder) learn(p *Packet) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	old := d.names.Load()
+	if old.full() {
+		return
+	}
+	var known map[string]string
+	if old != nil {
+		known = old.byName
+	}
+	t := &nameTable{
+		last:   make([]string, min(len(p.fields), maxNames)),
+		byName: make(map[string]string, min(len(known)+len(p.fields), maxNames)),
+	}
+	maps.Copy(t.byName, known)
+	for i := range p.fields {
+		name := p.fields[i].Name
+		if s, ok := t.byName[name]; ok {
+			name = s
+		} else if len(t.byName) < maxNames {
+			t.byName[name] = name
+		}
+		if i < len(t.last) {
+			t.last[i] = name
+		}
+	}
+	d.names.Store(t)
 }
 
 // DecodeBatch parses a batch produced by EncodeBatch. For each packet it

@@ -54,3 +54,48 @@ func FuzzPacketCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPacketCodecRoundTripWarm is FuzzPacketCodecRoundTrip through a
+// decoder whose name table already holds seedPacket's names, so inputs
+// that reuse, reorder, truncate or mangle those names take the table's
+// hit path. The warmed decoder must accept exactly what a cold one
+// accepts and decode it to an equal packet.
+func FuzzPacketCodecRoundTripWarm(f *testing.F) {
+	var enc Encoder
+	warm := enc.Encode(nil, seedPacket())
+	f.Add(warm)
+	f.Add(warm[:len(warm)-3])
+	reordered := &Packet{StreamID: 3}
+	reordered.AddBytes("raw", []byte{9}).AddString("s", "x").AddBool("b", false)
+	f.Add(enc.Encode(nil, reordered))
+	renamed := &Packet{StreamID: 3}
+	renamed.AddBool("c", true).AddInt32("i33", 1).AddInt64("i6", 2)
+	f.Add(enc.Encode(nil, renamed))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var dec Decoder
+		var seed Packet
+		if _, err := dec.Decode(warm, &seed); err != nil {
+			t.Fatalf("warming decode failed: %v", err)
+		}
+		var cold Decoder
+		var want, got Packet
+		wantN, wantErr := cold.Decode(data, &want)
+		n, err := dec.Decode(data, &got)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("warmed decoder error %v, cold decoder error %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if n != wantN || !got.Equal(&want) {
+			t.Fatalf("warmed decode differs from cold:\n  warm: %d %+v\n  cold: %d %+v", n, &got, wantN, &want)
+		}
+		var e Encoder
+		out := e.Encode(nil, &got)
+		var again Packet
+		if n, err := dec.Decode(out, &again); err != nil || n != len(out) || !again.Equal(&got) {
+			t.Fatalf("warmed round trip: consumed %d of %d, err %v, equal %v", n, len(out), err, again.Equal(&got))
+		}
+	})
+}

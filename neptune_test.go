@@ -2,6 +2,7 @@ package neptune
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -145,10 +146,16 @@ func TestNamedLinkSplit(t *testing.T) {
 	}
 }
 
+// pinPasses numbers the passes of TestCustomPartitionerViaPublicAPI. The
+// partitioner registry is process-global, so each pass (go test -count=N)
+// registers its own name.
+var pinPasses atomic.Int64
+
 func TestCustomPartitionerViaPublicAPI(t *testing.T) {
 	type always struct{ n int }
 	route := func(a *always) Partitioner { return partitionerFunc(func(n int) int { return a.n % n }) }
-	if err := RegisterPartitioner("pin", func(arg string) (Partitioner, error) {
+	pin := fmt.Sprintf("pin%d", pinPasses.Add(1))
+	if err := RegisterPartitioner(pin, func(arg string) (Partitioner, error) {
 		return route(&always{n: 1}), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -156,7 +163,7 @@ func TestCustomPartitionerViaPublicAPI(t *testing.T) {
 	spec, err := NewGraph("pinned").
 		Source("s", 1).
 		Processor("p", 3).
-		Link("s", "p", "pin").
+		Link("s", "p", pin).
 		Build()
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +196,7 @@ func TestCustomPartitionerViaPublicAPI(t *testing.T) {
 	if counts[1].Load() != 300 || counts[0].Load() != 0 || counts[2].Load() != 0 {
 		t.Fatalf("pin partitioner violated: %d/%d/%d", counts[0].Load(), counts[1].Load(), counts[2].Load())
 	}
-	if err := RegisterPartitioner("pin", nil); err == nil {
+	if err := RegisterPartitioner(pin, nil); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 }

@@ -30,6 +30,12 @@ echo "== lane smoke (-race -cpu 2) =="
 # The lane-sharded dispatch path and the headline acceptance tests under
 # the race detector at GOMAXPROCS=2: lanes only run truly concurrently
 # with more than one P, so this is where cross-lane races would surface.
+# The packet decoder's name table is shared by every transport goroutine
+# that feeds one instance; its concurrent-decode test and the codec's
+# zero-allocation pins run here too.
+go test -race -cpu 2 -count=1 \
+    -run 'TestDecoderSharedByConcurrentDecodes|TestDecoderTableStaysBounded|NoAllocs' \
+    ./internal/packet
 go test -race -cpu 2 -count=1 \
     -run 'TestLane|TestSharded|TestCrashRecoveryExactlyOnceSharded|TestMembershipPartitionEvictRejoinSharded|TestTwoStageExactlyOnceInOrder|TestThreeStageRelayForwarding' \
     ./internal/core
@@ -42,7 +48,8 @@ echo "== fuzz smoke =="
 # enough to catch regressions in the corpus and obvious panics, cheap
 # enough for every run.
 go test -run '^$' -fuzz 'FuzzDecodeFrame' -fuzztime 10s ./internal/transport
-go test -run '^$' -fuzz 'FuzzPacketCodecRoundTrip' -fuzztime 10s ./internal/packet
+go test -run '^$' -fuzz '^FuzzPacketCodecRoundTrip$' -fuzztime 10s ./internal/packet
+go test -run '^$' -fuzz '^FuzzPacketCodecRoundTripWarm$' -fuzztime 10s ./internal/packet
 go test -run '^$' -fuzz 'FuzzDescriptorLoad' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzDecodeControl' -fuzztime 10s ./internal/control
 
